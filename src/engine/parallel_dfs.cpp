@@ -2,17 +2,26 @@
 // portfolio race.
 //
 // Work-stealing mode (`opts.threads > 1`, depth-first order): each
-// worker owns a stack of pending frames (a frame = one generated,
-// deduplicated state awaiting expansion). The owner pushes and pops at
-// the top, so an undisturbed worker explores in exactly the sequential
-// depth-first order; an idle worker steals the *oldest* frame from the
-// bottom of a victim's stack — the frame closest to the root, i.e. the
-// largest unexplored subtree, the classic work-first stealing policy.
+// worker owns a stack of *unclaimed* frames (a frame = one generated
+// successor plus the expanded node it came from). A frame is
+// goal-tested and claimed in the passed store only when a worker pops
+// or steals it — exactly when sequential dfsCore takes a successor off
+// its frame — so an undisturbed worker explores in exactly the
+// sequential depth-first order. Only a frame whose claim succeeds
+// becomes a node, is expanded, and has its successors (ordered, and
+// shuffled once per expansion with the worker's seeded generator, as in
+// dfsCore) pushed as new frames. The owner pushes and pops at the top;
+// an idle worker steals the *oldest* frame from the bottom of a
+// victim's stack — the frame closest to the root, i.e. the largest
+// unexplored subtree, the classic work-first stealing policy.
 // Deduplication goes through the same ShardedPassedStore as parallel
-// BFS, so zone-inclusion subsumption is unchanged. Frames are
+// BFS, so zone-inclusion subsumption is unchanged. Nodes are
 // arena-allocated per worker and carry parent pointers; publication is
 // ordered by the stack mutexes, so a thief always observes fully
-// constructed ancestors and trace reconstruction is race-free.
+// constructed ancestors and trace reconstruction is race-free. A node
+// is reference-counted by its frames and live children and hands its
+// zone back once its subtree is done, as sequential DFS drops a popped
+// frame, so memory follows the open search paths.
 //
 // Portfolio mode (`opts.portfolio`): workers run *independent*
 // sequential DFS searches — worker 0 with the configured order and
@@ -49,32 +58,54 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// One deduplicated state awaiting expansion: interned discrete id plus
-/// zone (the discrete vectors live once in the run's StateInterner).
-/// Immutable once published to a worker stack; parent pointers stay
-/// valid for the whole search because the per-worker arenas only grow,
-/// and the ids they carry are resolvable by any thread because frames
-/// cross threads only through the stack mutexes.
+/// One claimed, expanded state: interned discrete id plus zone (the
+/// discrete vectors live once in the run's StateInterner). Immutable,
+/// but for `refs` and the final zone release, once its successors are
+/// published to a worker stack; parent pointers stay valid for the
+/// whole search because the per-worker arenas only grow, and the ids
+/// they carry are resolvable by any thread because nodes cross threads
+/// only through the stack mutexes.
 struct DfsNode {
   uint32_t did;
   dbm::Dbm zone;
   Transition via;
-  const DfsNode* parent;  ///< nullptr for the initial state
-  uint32_t depth;         ///< trace depth (initial state = 1)
+  DfsNode* parent;  ///< nullptr for the initial state
+  uint32_t depth;   ///< trace depth (initial state = 1)
+  /// Unclaimed frames and live children that point here. The last one
+  /// to let go hands the zone back to the pool: the node's subtree is
+  /// done, as when sequential DFS pops a frame, so the zones held stay
+  /// proportional to the open search paths rather than to every state
+  /// explored. Every ancestor of a frame or live node keeps its zone,
+  /// which is all a witness trace reads.
+  std::atomic<uint32_t> refs{0};
 };
 
-/// A worker's stack of pending frames. The owner pushes/pops at the
+/// A generated successor not yet goal-tested or claimed, with the node
+/// it was generated from.
+struct PendingFrame {
+  Successor succ;
+  DfsNode* parent;  ///< holds one of the parent's refs
+};
+
+/// Bytes a pending frame holds, charged like dfsCore's frameBytes
+/// charges the successors a sequential frame still holds.
+size_t frameBytes(const Successor& s) {
+  return s.state.memoryBytes() + sizeof(PendingFrame);
+}
+
+/// A worker's stack of unclaimed frames. The owner pushes/pops at the
 /// back; thieves take from the front (the oldest frame). One mutex per
 /// worker keeps the stealing protocol trivially correct — the lock is
 /// uncontended unless someone is actually stealing, and expansion cost
 /// (successor DBM operations) dwarfs it.
 struct alignas(64) WorkerStack {
   std::mutex m;
-  std::deque<const DfsNode*> pending;
+  std::deque<PendingFrame> pending;
 };
 
 struct WorkerLocal {
   std::deque<DfsNode> arena;  ///< stable addresses; owns this worker's nodes
+  std::mt19937_64 rng;        ///< seeded seed + tid; worker 0 = dfsCore's
   size_t explored = 0;
   size_t generated = 0;
   size_t steals = 0;
@@ -113,7 +144,7 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   // that no state is expanded twice through the same store entry.
   // Returns the interned id of a freshly claimed state, kNoId when it
   // was already seen (bit-state mode interns explicitly — the bit table
-  // holds no ids but the search frames still need one).
+  // holds no ids but the search nodes still need one).
   const auto claim = [&](const SymbolicState& s) -> uint32_t {
     if (bits) {
       return bits->testAndSet(s) ? StateInterner::kNoId
@@ -124,16 +155,37 @@ Result Reachability::runParallelDfs(const Goal& goal) {
 
   std::vector<WorkerStack> stacks(nThreads);
   std::vector<WorkerLocal> locals(nThreads);
+  for (size_t tid = 0; tid < nThreads; ++tid) {
+    locals[tid].rng.seed(opts_.seed + tid);
+  }
 
-  // Frames enqueued but not yet fully expanded; 0 = search exhausted.
+  // Frames pushed or being processed; 0 = search exhausted.
   std::atomic<size_t> pendingCount{0};
   std::atomic<size_t> exploredTotal{0};
-  std::atomic<size_t> arenaBytes{0};
+  // Bytes of the nodes (arena slots and unreleased zones) plus the
+  // unclaimed frames on the stacks. Popping a frame or releasing a node
+  // gives bytes back, so the high-water mark of the total (search +
+  // interner + store) is kept separately.
+  std::atomic<size_t> searchBytes{0};
+  std::atomic<size_t> peakBytes{0};
   std::atomic<uint8_t> abort{static_cast<uint8_t>(Cutoff::kNone)};
   const auto raiseCutoff = [&](Cutoff c) {
     uint8_t expect = static_cast<uint8_t>(Cutoff::kNone);
     abort.compare_exchange_strong(expect, static_cast<uint8_t>(c),
                                   std::memory_order_relaxed);
+  };
+  const auto chargeBytes = [&](size_t delta) {
+    const size_t total =
+        searchBytes.fetch_add(delta, std::memory_order_relaxed) + delta +
+        interner.bytes() + (bits ? bits->bytes() : passed.approxBytes());
+    size_t peak = peakBytes.load(std::memory_order_relaxed);
+    while (total > peak &&
+           !peakBytes.compare_exchange_weak(peak, total,
+                                            std::memory_order_relaxed)) {
+    }
+    if (opts_.maxMemoryBytes != 0 && total > opts_.maxMemoryBytes) {
+      raiseCutoff(Cutoff::kMemory);
+    }
   };
 
   // First goal hit wins; which one that is depends on scheduling
@@ -141,7 +193,7 @@ Result Reachability::runParallelDfs(const Goal& goal) {
   std::mutex goalMutex;
   std::atomic<bool> goalFound{false};
   SymbolicTrace goalTrace;
-  const auto reportGoal = [&](const DfsNode* parent, Successor* last) {
+  const auto reportGoal = [&](DfsNode* parent, Successor* last) {
     std::lock_guard<std::mutex> lk(goalMutex);
     if (goalFound.load(std::memory_order_relaxed)) return;
     if (last != nullptr) {
@@ -171,12 +223,11 @@ Result Reachability::runParallelDfs(const Goal& goal) {
     res.stats.storeProbeSteps = passed.probeSteps();
     res.stats.zonesMerged = passed.merges();
     res.stats.storeBytes = passed.bytes();
-    // The node arenas only grow, so the final byte count doubles as the
-    // high-water mark.
-    res.stats.bytesStored = arenaBytes.load(std::memory_order_relaxed) +
+    res.stats.bytesStored = searchBytes.load(std::memory_order_relaxed) +
                             interner.bytes() +
                             (bits ? bits->bytes() : passed.bytes());
-    res.stats.peakBytes = res.stats.bytesStored;
+    res.stats.peakBytes = std::max(peakBytes.load(std::memory_order_relaxed),
+                                   res.stats.bytesStored);
     for (size_t tid = 0; tid < nThreads; ++tid) {
       const WorkerLocal& l = locals[tid];
       res.stats.perThreadExplored[tid] = l.explored;
@@ -189,6 +240,64 @@ Result Reachability::runParallelDfs(const Goal& goal) {
     return res;
   };
 
+  // Drop one reference to `node`, releasing every ancestor whose last
+  // reference that was.
+  const auto release = [&](DfsNode* node) {
+    while (node != nullptr &&
+           node->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      searchBytes.fetch_sub(node->zone.memoryBytes(),
+                            std::memory_order_relaxed);
+      dbm::ZonePool::recycle(std::move(node->zone));
+      node = node->parent;
+    }
+  };
+
+  // Expand a freshly claimed node of worker `tid`: the deadlock goal
+  // test, then its successors in dfsCore's order, pushed in reverse so
+  // the first one in search order is on top of the stack.
+  const auto expand = [&](size_t tid, DfsNode* node) {
+    WorkerLocal& local = locals[tid];
+    ++local.explored;
+    local.peakDepth = std::max<size_t>(local.peakDepth, node->depth);
+    const size_t total =
+        exploredTotal.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (opts_.maxStates != 0 && total > opts_.maxStates) {
+      raiseCutoff(Cutoff::kStates);
+    }
+    if (opts_.maxSeconds > 0.0 && (local.explored & 15) == 0 &&
+        elapsed() > opts_.maxSeconds) {
+      raiseCutoff(Cutoff::kTime);
+    }
+
+    const DiscreteState& nodeD = interner.get(node->did);
+    std::vector<Successor> succs = gen_.successors(nodeD, node->zone);
+    if (goal.deadlock && succs.empty() &&
+        goal.matches(sys_, nodeD, node->zone)) {
+      reportGoal(node, nullptr);
+    }
+    if (opts_.order == SearchOrder::kRandomDfs) {
+      std::shuffle(succs.begin(), succs.end(), local.rng);
+    } else if (opts_.dfsReverse) {
+      std::reverse(succs.begin(), succs.end());
+    }
+
+    size_t bytes = node->zone.memoryBytes() + sizeof(DfsNode);
+    for (const Successor& s : succs) bytes += frameBytes(s);
+    chargeBytes(bytes);
+    // One reference per frame plus this expansion's own, dropped below
+    // once the frames are out.
+    node->refs.store(static_cast<uint32_t>(succs.size()) + 1,
+                     std::memory_order_relaxed);
+    if (!succs.empty()) {
+      pendingCount.fetch_add(succs.size(), std::memory_order_relaxed);
+      std::lock_guard<std::mutex> lk(stacks[tid].m);
+      for (size_t k = succs.size(); k-- > 0;) {
+        stacks[tid].pending.push_back(PendingFrame{std::move(succs[k]), node});
+      }
+    }
+    release(node);
+  };
+
   SymbolicState init = gen_.initial();
   if (init.zone.isEmpty()) {
     // A lifted initial state (System::setClockInit) violated an
@@ -196,122 +305,73 @@ Result Reachability::runParallelDfs(const Goal& goal) {
     return finish(Cutoff::kNone, true);
   }
   if (!goal.deadlock && goal.matches(sys_, init)) {
-    locals[0].arena.push_back(DfsNode{interner.intern(init.d),
-                                      std::move(init.zone), Transition{},
-                                      nullptr, 1});
+    locals[0].arena.emplace_back(interner.intern(init.d),
+                                 std::move(init.zone), Transition{}, nullptr,
+                                 1u);
     res.reachable = true;
     res.trace = traceFromChain(interner, &locals[0].arena.back());
     return finish(Cutoff::kNone, false);
   }
   const uint32_t initId = claim(init);
   assert(initId != StateInterner::kNoId);
-  arenaBytes.fetch_add(init.zone.memoryBytes() + sizeof(DfsNode),
-                       std::memory_order_relaxed);
-  locals[0].arena.push_back(
-      DfsNode{initId, std::move(init.zone), Transition{}, nullptr, 1});
-  locals[0].peakDepth = 1;
-  stacks[0].pending.push_back(&locals[0].arena.back());
-  pendingCount.store(1, std::memory_order_relaxed);
+  locals[0].arena.emplace_back(initId, std::move(init.zone), Transition{},
+                               nullptr, 1u);
+  // Worker 0 expands the initial state before any worker starts, as
+  // dfsCore does before its loop; thread creation publishes the result.
+  expand(0, &locals[0].arena.back());
 
   const auto work = [&](size_t tid) {
     WorkerLocal& local = locals[tid];
-    std::mt19937_64 rng(opts_.seed + tid);
     size_t victim = (tid + 1) % nThreads;
 
-    const auto popOwn = [&]() -> const DfsNode* {
+    const auto popOwn = [&]() -> std::optional<PendingFrame> {
       std::lock_guard<std::mutex> lk(stacks[tid].m);
-      if (stacks[tid].pending.empty()) return nullptr;
-      const DfsNode* n = stacks[tid].pending.back();
+      if (stacks[tid].pending.empty()) return std::nullopt;
+      PendingFrame f = std::move(stacks[tid].pending.back());
       stacks[tid].pending.pop_back();
-      return n;
+      return f;
     };
     // Steal the oldest pending frame of the next victim that has one.
-    const auto steal = [&]() -> const DfsNode* {
+    const auto steal = [&]() -> std::optional<PendingFrame> {
       for (size_t k = 0; k < nThreads - 1; ++k) {
         WorkerStack& vs = stacks[victim];
         victim = (victim + 1) % nThreads;
         if (victim == tid) victim = (victim + 1) % nThreads;
         std::lock_guard<std::mutex> lk(vs.m);
         if (vs.pending.empty()) continue;
-        const DfsNode* n = vs.pending.front();
+        PendingFrame f = std::move(vs.pending.front());
         vs.pending.pop_front();
         ++local.steals;
-        return n;
+        return f;
       }
-      return nullptr;
+      return std::nullopt;
     };
 
     while (!stopping()) {
-      const DfsNode* node = popOwn();
-      if (node == nullptr) node = steal();
-      if (node == nullptr) {
+      std::optional<PendingFrame> f = popOwn();
+      if (!f) f = steal();
+      if (!f) {
         if (pendingCount.load(std::memory_order_acquire) == 0) return;
         std::this_thread::yield();
         continue;
       }
 
-      ++local.explored;
-      const size_t total =
-          exploredTotal.fetch_add(1, std::memory_order_relaxed) + 1;
-      if (opts_.maxStates != 0 && total > opts_.maxStates) {
-        raiseCutoff(Cutoff::kStates);
-      }
-      if (opts_.maxSeconds > 0.0 && (local.explored & 15) == 0 &&
-          elapsed() > opts_.maxSeconds) {
-        raiseCutoff(Cutoff::kTime);
-      }
-
-      const DiscreteState& nodeD = interner.get(node->did);
-      std::vector<Successor> succs = gen_.successors(nodeD, node->zone);
-      if (goal.deadlock && succs.empty() &&
-          goal.matches(sys_, nodeD, node->zone)) {
-        reportGoal(node, nullptr);
-      }
-      if (opts_.order == SearchOrder::kRandomDfs) {
-        std::shuffle(succs.begin(), succs.end(), rng);
-      } else if (opts_.dfsReverse) {
-        std::reverse(succs.begin(), succs.end());
-      }
-
-      // Push in reverse so the first successor in search order is on
-      // top of the stack — an undisturbed worker explores depth-first
-      // in exactly the sequential order.
-      std::vector<const DfsNode*> fresh;
-      fresh.reserve(succs.size());
-      for (Successor& suc : succs) {
-        if (stopping()) break;
-        ++local.generated;
-        if (!goal.deadlock && goal.matches(sys_, suc.state)) {
-          reportGoal(node, &suc);
-          break;
-        }
-        const uint32_t id = claim(suc.state);
-        if (id == StateInterner::kNoId) {
-          dbm::ZonePool::recycle(std::move(suc.state.zone));
-          continue;
-        }
-        const size_t nb =
-            arenaBytes.fetch_add(suc.state.zone.memoryBytes() +
-                                     sizeof(DfsNode) + sizeof(const DfsNode*),
-                                 std::memory_order_relaxed);
-        if (opts_.maxMemoryBytes != 0 &&
-            nb + interner.bytes() +
-                    (bits ? bits->bytes() : passed.approxBytes()) >
-                opts_.maxMemoryBytes) {
-          raiseCutoff(Cutoff::kMemory);
-        }
-        local.arena.push_back(DfsNode{id, std::move(suc.state.zone),
-                                      std::move(suc.via), node,
-                                      node->depth + 1});
-        local.peakDepth = std::max<size_t>(local.peakDepth, node->depth + 1);
-        fresh.push_back(&local.arena.back());
-      }
-      if (!fresh.empty()) {
-        pendingCount.fetch_add(fresh.size(), std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lk(stacks[tid].m);
-        for (size_t k = fresh.size(); k-- > 0;) {
-          stacks[tid].pending.push_back(fresh[k]);
-        }
+      // The successor leaves its parent's frame here, as in dfsCore:
+      // goal test first, then the claim.
+      searchBytes.fetch_sub(frameBytes(f->succ), std::memory_order_relaxed);
+      ++local.generated;
+      SymbolicState& s = f->succ.state;
+      if (!goal.deadlock && goal.matches(sys_, s)) {
+        reportGoal(f->parent, &f->succ);
+        release(f->parent);
+      } else if (const uint32_t id = claim(s); id == StateInterner::kNoId) {
+        dbm::ZonePool::recycle(std::move(s.zone));
+        release(f->parent);
+      } else {
+        // The new node inherits the frame's reference on its parent.
+        local.arena.emplace_back(id, std::move(s.zone), std::move(f->succ.via),
+                                 f->parent, f->parent->depth + 1);
+        expand(tid, &local.arena.back());
       }
       // Publish this frame's completion only after its children are
       // visible: a worker observing pendingCount == 0 must be able to
